@@ -9,8 +9,7 @@
 // Each experiment prints the same rows/series the paper reports plus a
 // metric summary. Absolute values will differ (the substrate is a
 // simulator); the shapes — who wins, by what factor — are the
-// reproduction target. See EXPERIMENTS.md for a paper-vs-measured
-// record.
+// reproduction target.
 package main
 
 import (

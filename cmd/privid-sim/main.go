@@ -12,8 +12,8 @@
 //	privid-sim -seed 7 -chaos                # with restarts/crashes/torn WAL
 //	privid-sim -cameras 1000 -minutes 5 -chaos   # nightly-scale soak
 //
-// Exit status: 0 when every invariant holds, 1 on violations, 2 on a
-// fatal setup error.
+// Exit status: 0 when every invariant holds, 1 on violations or any
+// other reported error, 2 on a fatal setup error.
 package main
 
 import (
@@ -86,6 +86,14 @@ func main() {
 		for _, v := range rep.Violations {
 			fmt.Printf("  - %s\n", v)
 		}
+		os.Exit(1)
+	}
+	if tb.Failed() {
+		// An error outside the invariant checks, e.g. the engine failing
+		// to close cleanly during cleanup; the log (off under -q) holds
+		// the message.
+		fmt.Printf("FAIL: the run logged an error (reproduce: privid-sim -seed %d%s)\n",
+			rep.Seed, chaosSuffix(*chaos))
 		os.Exit(1)
 	}
 	fmt.Println("OK: all invariants hold")

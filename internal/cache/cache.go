@@ -297,13 +297,6 @@ func (c *LRU) evictOldest() {
 	c.evictions++
 }
 
-// Len returns the current entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Close implements Cache; an in-RAM tier has nothing to release.
 func (c *LRU) Close() error { return nil }
 

@@ -129,8 +129,8 @@ func TestOversizeEntryRejected(t *testing.T) {
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("entry larger than the whole bound must not be stored")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d, want 0", c.Len())
+	if n := c.Stats().Entries; n != 0 {
+		t.Fatalf("len = %d, want 0", n)
 	}
 }
 

@@ -468,13 +468,6 @@ func (d *Disk) evictOldestSegment() {
 	d.evictions++
 }
 
-// Len returns the number of live keys.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.index)
-}
-
 // Sync flushes the active segment to stable storage.
 func (d *Disk) Sync() error {
 	d.mu.Lock()

@@ -55,8 +55,8 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 	if !got.Frozen() {
 		t.Fatal("disk Get must return a frozen table")
 	}
-	if d2.Len() != 2 {
-		t.Fatalf("len = %d, want 2", d2.Len())
+	if n := d2.Stats().Entries; n != 2 {
+		t.Fatalf("len = %d, want 2", n)
 	}
 }
 
@@ -282,8 +282,8 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 	}
 	// The promoted entry really is resident in RAM (same accounting
 	// rules: it occupies bytes and serves hits).
-	if mem.Len() != 1 {
-		t.Fatalf("RAM tier holds %d entries after promotion, want 1", mem.Len())
+	if n := mem.Stats().Entries; n != 1 {
+		t.Fatalf("RAM tier holds %d entries after promotion, want 1", n)
 	}
 }
 

@@ -115,14 +115,6 @@ type Options struct {
 	// whole oldest segments are deleted to respect it). 0 uses
 	// DefaultDiskCacheBytes. Ignored when DiskCacheDir is empty.
 	DiskCacheBytes int64
-	// DisablePartialPushdown turns off aggregation pushdown: every
-	// PROCESS materializes its full intermediate table and every SELECT
-	// aggregates row-major, as before partial states existed. It exists
-	// as a benchmark baseline and a debugging escape hatch; leave it
-	// false in deployments. Pushdown never changes results — the
-	// streaming-merge path is differentially tested against the
-	// materialized path — only peak memory and warm-query latency.
-	DisablePartialPushdown bool
 	// StateDir enables the durable privacy ledger: every admitted
 	// charge is written to a write-ahead log under this directory and
 	// fsynced before the noised result is released, and Open recovers
@@ -260,7 +252,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	// Assemble the chunk cache tiers. The interface field stays a true
 	// nil when no tier is configured (never a typed nil), so the
-	// hot-path nil checks in runShard remain valid.
+	// hot-path nil checks in scanShard and its sinks remain valid.
 	var mem *cache.LRU
 	if opts.ChunkCacheBytes > 0 {
 		mem = cache.New(opts.ChunkCacheBytes)

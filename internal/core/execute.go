@@ -213,21 +213,19 @@ func (e *Engine) executeStages(prog *query.Program, tag string, keep func(rel.Re
 	// SELECT is actually mergeable is decided in runProcess, once the
 	// stamped schema and shard metadata exist.
 	pushCands := map[string][]*query.SelectStmt{}
-	if !e.opts.DisablePartialPushdown {
-		excluded := map[string]bool{}
-		for _, sel := range prog.Selects {
-			refs := rel.ReferencedTables(sel.From)
-			if len(refs) == 1 {
-				pushCands[refs[0]] = append(pushCands[refs[0]], sel)
-				continue
-			}
-			for _, r := range refs {
-				excluded[r] = true
-			}
+	excluded := map[string]bool{}
+	for _, sel := range prog.Selects {
+		refs := rel.ReferencedTables(sel.From)
+		if len(refs) == 1 {
+			pushCands[refs[0]] = append(pushCands[refs[0]], sel)
+			continue
 		}
-		for name := range excluded {
-			delete(pushCands, name)
+		for _, r := range refs {
+			excluded[r] = true
 		}
+	}
+	for name := range excluded {
+		delete(pushCands, name)
 	}
 
 	stageStart = time.Now()
@@ -645,12 +643,11 @@ func (e *Engine) resolveShard(st *query.SplitStmt, camName string) (*splitShard,
 
 // runProcess executes the analyst's executable over every chunk of the
 // plan and materializes the intermediate table. Multi-camera plans run
-// as a sharded pipeline: one worker per camera shard fans out over the
-// engine's pool (bounded per camera by PerCameraParallelism), streams
-// its partial table into the aggregator as it completes, and hits the
-// chunk cache independently per camera — an N-camera query costs about
-// the slowest shard's wall-clock, not the sum. Rows of multi-camera
-// tables carry the trusted implicit camera column.
+// as a sharded pipeline: one scanShard per camera shard fans out over
+// the engine's pool (bounded per camera by PerCameraParallelism) and
+// hits the chunk cache independently per camera — an N-camera query
+// costs about the slowest shard's wall-clock, not the sum. Rows of
+// multi-camera tables carry the trusted implicit camera column.
 //
 // Chunk results are memoized in the engine's chunk cache (when
 // enabled): a chunk whose (content identity, executable, contract
@@ -661,8 +658,8 @@ func (e *Engine) resolveShard(st *query.SplitStmt, camName string) (*splitShard,
 //
 // When every consuming SELECT of the table is a mergeable aggregation
 // (cands, pre-grouped by executeStages; rel.PlanPartial accepts each),
-// runProcess takes the streaming-merge path instead: each shard folds
-// chunk blocks into per-plan partial states as they arrive and the
+// runProcess scans into a foldSink instead of a tableSink: each shard
+// folds chunk blocks into per-plan partial states and the
 // full intermediate table is never materialized — peak memory scales
 // with groups × cameras, not rows. The finalized releases are returned
 // alongside an empty (schema- and metadata-correct) instance; they are
@@ -733,128 +730,312 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	// Pushdown decision: every candidate SELECT must plan as a mergeable
 	// aggregation, else the whole table falls back to materialization
 	// (a single table cannot be both streamed and materialized).
-	var push *shardPushdown
-	if len(cands) > 0 {
-		pplans := make([]*rel.PartialPlan, 0, len(cands))
-		for _, sel := range cands {
-			pp := rel.PlanPartial(sel, st.Into, full, metas)
-			if pp == nil {
-				pplans = nil
-				break
-			}
-			pplans = append(pplans, pp)
-		}
-		if pplans != nil {
-			e.ppPlans.Add(uint64(len(pplans)))
-			ids := make([]string, len(pplans))
-			for i, pp := range pplans {
-				ids[i] = pp.ID()
-			}
-			push = &shardPushdown{plans: pplans, ids: ids}
-			sp.Set("pushdown_plans", len(pplans))
-		} else {
+	var pplans []*rel.PartialPlan
+	var ids []string // plan identities: partial-state cache key prefixes
+	for _, sel := range cands {
+		pp := rel.PlanPartial(sel, st.Into, full, metas)
+		if pp == nil {
 			e.ppDeclined.Add(1)
+			pplans = nil
+			break
 		}
+		pplans = append(pplans, pp)
+		ids = append(ids, pp.ID())
+	}
+	if pplans != nil {
+		e.ppPlans.Add(uint64(len(pplans)))
+		sp.Set("pushdown_plans", len(pplans))
 	}
 
-	shardPar := e.opts.Parallelism
+	ps := processScan{
+		st: st, exec: exec, schema: schema, full: full,
+		hasRegion: hasRegion, multi: plan.multi, par: e.opts.Parallelism,
+	}
 	if len(plan.shards) > 1 {
-		shardPar = e.opts.PerCameraParallelism
+		ps.par = e.opts.PerCameraParallelism
 	}
-
-	if push != nil {
-		// Streaming-merge path: per-shard fold, then a deterministic
-		// merge in shard-index order (merge order cannot matter — the
-		// property tests pin that — but determinism costs nothing).
-		states := make([][]*rel.PartialState, len(plan.shards))
-		errs := make([]error, len(plan.shards))
-		if len(plan.shards) == 1 || e.opts.SerialShards {
-			for i, sh := range plan.shards {
-				states[i], errs[i] = e.runShardStreaming(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, push, sp)
-			}
+	sinks := make([]shardSink, len(plan.shards))
+	for i := range sinks {
+		if pplans != nil {
+			sinks[i] = &foldSink{plans: pplans, ids: ids}
 		} else {
-			var wg sync.WaitGroup
-			for i, sh := range plan.shards {
-				wg.Add(1)
-				go func(i int, sh *splitShard) {
-					defer wg.Done()
-					states[i], errs[i] = e.runShardStreaming(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, push, sp)
-				}(i, sh)
-			}
-			wg.Wait()
+			sinks[i] = &tableSink{}
 		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		agg := make([]*rel.PartialState, len(push.plans))
-		for p, pp := range push.plans {
-			agg[p] = pp.NewState()
-		}
-		for _, ss := range states {
-			for p, pp := range push.plans {
-				pp.Merge(agg[p], ss[p])
-				e.ppMerges.Add(1)
-			}
-		}
-		rels := make(map[*query.SelectStmt][]rel.Release, len(cands))
-		for p, sel := range cands {
-			rels[sel] = push.plans[p].Finalize(agg[p])
-		}
-		// The env still gets an instance with the right schema and shard
-		// metadata, but no rows: every SELECT over this table is answered
-		// from the merged states above.
-		return rel.NewInstance(table.New(full), metas...), rels, nil
 	}
-
-	data := table.New(full)
+	// Shards finish in any order, but each lands in its own sink, so the
+	// shards combine below in shard-index order and the result is
+	// deterministic (dedup picks the same representative rows whatever
+	// the shard timing).
+	errs := make([]error, len(plan.shards))
 	if len(plan.shards) == 1 || e.opts.SerialShards {
-		for _, sh := range plan.shards {
-			data.AppendTable(e.runShard(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, sp))
+		for i, sh := range plan.shards {
+			errs[i] = e.scanShard(ps, sh, sinks[i], sp)
 		}
 	} else {
-		// Sharded fan-out with a streaming aggregator: shards complete
-		// in any order, but their columnar partials are appended in
-		// shard order so the materialized table is deterministic (dedup
-		// picks the same representative rows regardless of shard
-		// timing).
-		type partial struct {
-			idx int
-			tbl *table.Table
-		}
-		ch := make(chan partial, len(plan.shards))
+		var wg sync.WaitGroup
 		for i, sh := range plan.shards {
-			go func(i int, sh *splitShard) {
-				ch <- partial{idx: i, tbl: e.runShard(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, sp)}
-			}(i, sh)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = e.scanShard(ps, sh, sinks[i], sp)
+			}()
 		}
-		buffered := make(map[int]*table.Table, len(plan.shards))
-		next := 0
-		for range plan.shards {
-			p := <-ch
-			buffered[p.idx] = p.tbl
-			for {
-				tbl, ok := buffered[next]
-				if !ok {
-					break
-				}
-				data.AppendTable(tbl)
-				delete(buffered, next)
-				next++
-			}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 
-	return rel.NewInstance(data, metas...), nil, nil
+	if pplans == nil {
+		data := table.New(full)
+		for _, s := range sinks {
+			data.AppendTable(s.(*tableSink).out)
+		}
+		return rel.NewInstance(data, metas...), nil, nil
+	}
+	agg := make([]*rel.PartialState, len(pplans))
+	for p, pp := range pplans {
+		agg[p] = pp.NewState()
+	}
+	for _, s := range sinks {
+		for p, pp := range pplans {
+			pp.Merge(agg[p], s.(*foldSink).states[p])
+			e.ppMerges.Add(1)
+		}
+	}
+	rels := make(map[*query.SelectStmt][]rel.Release, len(cands))
+	for p, sel := range cands {
+		rels[sel] = pplans[p].Finalize(agg[p])
+	}
+	// The env still gets an instance with the right schema and shard
+	// metadata, but no rows: every SELECT over this table is answered
+	// from the merged states above.
+	return rel.NewInstance(table.New(full), metas...), rels, nil
 }
 
-// shardPushdown carries one PROCESS table's pushdown plans into the
-// shard workers: the mergeable plan per candidate SELECT plus its
-// precomputed identity (the partial-state cache key prefix).
-type shardPushdown struct {
-	plans []*rel.PartialPlan
-	ids   []string
+// processScan is what every shard scan of one PROCESS statement shares.
+type processScan struct {
+	st        *query.ProcessStmt
+	exec      sandbox.Executor
+	schema    table.Schema // the declared PROCESS schema
+	full      table.Schema // schema plus the implicit columns
+	hasRegion bool
+	multi     bool
+	par       int // bound on one shard's concurrent chunks
+}
+
+// shardScan is one shard's scan as its sink sees it.
+type shardScan struct {
+	processScan
+	e      *Engine
+	camera string
+	tl     shardTallies
+}
+
+// consts appends to dst[:0] the implicit columns stamped on every row
+// of a chunk: its start (Unix seconds), then its region and camera when
+// the table carries them.
+func (s *shardScan) consts(dst []table.Value, start float64, region string) []table.Value {
+	dst = append(dst[:0], table.N(start))
+	if s.hasRegion {
+		dst = append(dst, table.S(region))
+	}
+	if s.multi {
+		dst = append(dst, table.S(s.camera))
+	}
+	return dst
+}
+
+// A shardSink is what scanShard does with one shard's chunks: step
+// runs once per chunk, concurrently with the shard's other chunks, and
+// finish combines the results in chunk order after every step has
+// returned.
+type shardSink interface {
+	// step handles one chunk; key is its chunk-cache key ("" when the
+	// cache is off).
+	step(s *shardScan, chunk *video.Chunk, key string) chunkResult
+	// finish also sets the shard span's "rows" attribute.
+	finish(s *shardScan, results []chunkResult, ssp *obs.Span)
+}
+
+// chunkResult is what a sink's step leaves for its finish.
+type chunkResult struct {
+	blk    *table.Table
+	start  float64 // chunk start, Unix seconds
+	region string
+	states []*rel.PartialState
+	err    error
+}
+
+// scanShard runs the PROCESS over every active chunk of one camera
+// shard into sink. It builds each split's chunk-cache key prefix once
+// and runs sink.step on at most ps.par chunks at once; the engine-wide
+// procSem still bounds sandbox executions across all shards and
+// queries. It records one child span per shard under the PROCESS span
+// (concurrent shards annotate sibling spans; Span is mutex-guarded).
+func (e *Engine) scanShard(ps processScan, sh *splitShard, sink shardSink, psp *obs.Span) error {
+	s := &shardScan{processScan: ps, e: e, camera: sh.cam.cfg.Name}
+	ssp := psp.Child("shard")
+	defer ssp.End()
+	ords := make([][]int64, len(sh.splits))
+	n := 0
+	for i, split := range sh.splits {
+		ords[i] = split.ActiveChunks()
+		n += len(ords[i])
+	}
+	ssp.Set("camera", s.camera)
+	ssp.Set("chunks", n)
+
+	results := make([]chunkResult, n)
+	scan := func(split *video.Split, prefix string, ord int64, r *chunkResult) {
+		chunk := split.ChunkAt(ord)
+		var key string
+		if e.chunkCache != nil {
+			key = prefix + chunkKeySuffix(chunk.Interval)
+		}
+		*r = sink.step(s, chunk, key)
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, ps.par)
+	i := 0
+	for si := range sh.splits {
+		split := &sh.splits[si]
+		var prefix string
+		if e.chunkCache != nil {
+			prefix = chunkKeyPrefix(
+				s.camera, sh.maskID, sh.schemeName,
+				split.Region, ps.st.Using, ps.st.Timeout, ps.st.MaxRows, ps.schema,
+				sh.chunkF, sh.strideF)
+		}
+		for _, ord := range ords[si] {
+			r := &results[i]
+			i++
+			if ps.par <= 1 || n <= 1 {
+				scan(split, prefix, ord, r)
+				continue
+			}
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				scan(split, prefix, ord, r)
+			}()
+		}
+	}
+	wg.Wait()
+	e.spanTallies(ssp, &s.tl)
+	for _, r := range results {
+		if r.err != nil {
+			return r.err
+		}
+	}
+	sink.finish(s, results, ssp)
+	return nil
+}
+
+// tableSink materializes a shard's stamped rows.
+type tableSink struct {
+	out *table.Table
+}
+
+func (t *tableSink) step(s *shardScan, chunk *video.Chunk, key string) chunkResult {
+	blk, _ := s.e.fetchChunkBlock(key, chunk, s.exec, &s.tl)
+	return chunkResult{blk: blk, start: float64(chunk.Start.Unix()), region: chunk.Region}
+}
+
+// finish stamps each block's implicit columns as per-block constants
+// while appending: column-wise copies, no row materialization.
+func (t *tableSink) finish(s *shardScan, results []chunkResult, ssp *obs.Span) {
+	t.out = table.New(s.full)
+	consts := make([]table.Value, 0, 3)
+	for _, r := range results {
+		consts = s.consts(consts, r.start, r.region)
+		t.out.AppendBlock(r.blk, consts...)
+	}
+	ssp.Set("rows", t.out.Len())
+}
+
+// foldSink folds a shard's chunks into one partial state per pushdown
+// plan without materializing its rows.
+type foldSink struct {
+	plans  []*rel.PartialPlan
+	ids    []string            // plan identities: partial-state cache key prefixes
+	states []*rel.PartialState // the shard's merged states, index-aligned with plans
+}
+
+// step skips the sandbox and the fold when every plan's state for the
+// chunk is cached. Otherwise it folds the chunk's block per plan and
+// memoizes the states of clean executions only, mirroring the table
+// tier's fallback-row rule. A fold error is unreachable for a plan
+// rel.PlanPartial accepted; it is returned rather than swallowed so a
+// planner bug turns into a query error, never a wrong release.
+func (f *foldSink) step(s *shardScan, chunk *video.Chunk, key string) chunkResult {
+	e := s.e
+	if states := f.cachedStates(e.chunkCache, key); states != nil {
+		s.tl.stateChunks.Add(1)
+		e.ppCachedChunks.Add(1)
+		return chunkResult{states: states}
+	}
+	blk, clean := e.fetchChunkBlock(key, chunk, s.exec, &s.tl)
+	// Stamp the implicit columns onto a per-chunk mini-table so the fold
+	// sees exactly the rows this chunk contributes to the materialized
+	// table (same consts, same order).
+	mini := table.New(s.full)
+	mini.AppendBlock(blk, s.consts(make([]table.Value, 0, 3), float64(chunk.Start.Unix()), chunk.Region)...)
+	states := make([]*rel.PartialState, len(f.plans))
+	for p, pp := range f.plans {
+		ps, err := pp.Partial(mini, s.camera)
+		if err != nil {
+			return chunkResult{err: fmt.Errorf("core: partial fold of chunk %d: %w", chunk.Ordinal, err)}
+		}
+		s.tl.folds.Add(1)
+		e.ppFolds.Add(1)
+		if clean && e.chunkCache != nil {
+			e.chunkCache.PutRaw(stateKey(f.ids[p], key), ps.EncodeBinary())
+		}
+		states[p] = ps
+	}
+	return chunkResult{states: states}
+}
+
+// cachedStates returns every plan's cached state for the chunk, or nil
+// when the cache is off or any state is missing or unusable (bit rot or
+// a stale incompatible entry, which the fold path then overwrites).
+func (f *foldSink) cachedStates(c cache.Cache, key string) []*rel.PartialState {
+	if c == nil {
+		return nil
+	}
+	states := make([]*rel.PartialState, len(f.plans))
+	for p, pp := range f.plans {
+		raw, ok := c.GetRaw(stateKey(f.ids[p], key))
+		if !ok {
+			return nil
+		}
+		dec, err := rel.DecodePartialState(raw)
+		if err != nil || !pp.Compatible(dec) {
+			return nil
+		}
+		states[p] = dec
+	}
+	return states
+}
+
+func (f *foldSink) finish(s *shardScan, results []chunkResult, ssp *obs.Span) {
+	f.states = make([]*rel.PartialState, len(f.plans))
+	for p, pp := range f.plans {
+		f.states[p] = pp.NewState()
+	}
+	for _, r := range results {
+		for p, pp := range f.plans {
+			pp.Merge(f.states[p], r.states[p])
+			s.e.ppMerges.Add(1)
+		}
+	}
+	ssp.Set("mode", "pushdown")
+	ssp.Set("rows", int(f.states[0].Rows))
 }
 
 // shardTallies accumulates one shard's per-chunk counters in atomics
@@ -994,225 +1175,4 @@ func (e *Engine) fetchChunkBlock(key string, chunk *video.Chunk, exec sandbox.Ex
 		tl.sfAbandoned.Add(1)
 	}
 	return blk, clean
-}
-
-// runShardStreaming is runShard's pushdown counterpart: instead of
-// materializing the shard's stamped rows it folds every chunk into one
-// partial state per plan and returns the shard's merged states (index-
-// aligned with push.plans). Chunks whose every plan state is in the
-// partial-state cache skip the sandbox and the fold entirely. The only
-// error path is a fold failure, which PlanPartial's static checks make
-// unreachable; it is propagated rather than swallowed so a planner bug
-// turns into a query error, never a wrong release.
-func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec sandbox.Executor,
-	schema, full table.Schema, hasRegion, multi bool, par int, push *shardPushdown, psp *obs.Span) ([]*rel.PartialState, error) {
-	camName := sh.cam.cfg.Name
-	camVal := table.S(camName)
-	tl := &shardTallies{}
-	ssp := psp.Child("shard")
-	defer ssp.End()
-	if ssp != nil {
-		ssp.Set("camera", camName)
-		ssp.Set("mode", "pushdown")
-		chunks := 0
-		for _, split := range sh.splits {
-			chunks += len(split.ActiveChunks())
-		}
-		ssp.Set("chunks", chunks)
-	}
-	shard := make([]*rel.PartialState, len(push.plans))
-	for p, pp := range push.plans {
-		shard[p] = pp.NewState()
-	}
-	for _, split := range sh.splits {
-		ords := split.ActiveChunks()
-		stateByOrd := make([][]*rel.PartialState, len(ords))
-		errByOrd := make([]error, len(ords))
-		var keyPrefix string
-		if e.chunkCache != nil {
-			keyPrefix = chunkKeyPrefix(
-				camName, sh.maskID, sh.schemeName,
-				split.Region, st.Using, st.Timeout, st.MaxRows, schema,
-				sh.chunkF, sh.strideF)
-		}
-		process := func(i int) {
-			chunk := split.ChunkAt(ords[i])
-			var chunkKey string
-			if e.chunkCache != nil {
-				chunkKey = keyPrefix + chunkKeySuffix(chunk.Interval)
-				// Warm path: every plan's state for this chunk is
-				// cached — no sandbox execution, no fold.
-				states := make([]*rel.PartialState, len(push.plans))
-				okAll := true
-				for p := range push.plans {
-					raw, ok := e.chunkCache.GetRaw(stateKey(push.ids[p], chunkKey))
-					if !ok {
-						okAll = false
-						break
-					}
-					dec, err := rel.DecodePartialState(raw)
-					if err != nil || !push.plans[p].Compatible(dec) {
-						// Bit rot or a stale incompatible entry; fall
-						// through to the fold path, which overwrites it.
-						okAll = false
-						break
-					}
-					states[p] = dec
-				}
-				if okAll {
-					tl.stateChunks.Add(1)
-					e.ppCachedChunks.Add(1)
-					stateByOrd[i] = states
-					return
-				}
-			}
-			blk, clean := e.fetchChunkBlock(chunkKey, chunk, exec, tl)
-			// Stamp the implicit columns onto a per-chunk mini-table so
-			// the fold sees exactly the rows this chunk contributes to
-			// the materialized table (same consts, same order).
-			consts := make([]table.Value, 0, 3)
-			consts = append(consts, table.N(float64(chunk.Start.Unix())))
-			if hasRegion {
-				consts = append(consts, table.S(split.Region))
-			}
-			if multi {
-				consts = append(consts, camVal)
-			}
-			mini := table.New(full)
-			mini.AppendBlock(blk, consts...)
-			states := make([]*rel.PartialState, len(push.plans))
-			for p, pp := range push.plans {
-				ps, err := pp.Partial(mini, camName)
-				if err != nil {
-					errByOrd[i] = err
-					return
-				}
-				tl.folds.Add(1)
-				e.ppFolds.Add(1)
-				if clean && e.chunkCache != nil {
-					// Memoize only clean executions' states, mirroring
-					// the table tier's fallback-row rule.
-					e.chunkCache.PutRaw(stateKey(push.ids[p], chunkKey), ps.EncodeBinary())
-				}
-				states[p] = ps
-			}
-			stateByOrd[i] = states
-		}
-		if par > 1 && len(ords) > 1 {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, par)
-			for i := range ords {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					process(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range ords {
-				process(i)
-			}
-		}
-		for i := range ords {
-			if errByOrd[i] != nil {
-				return nil, fmt.Errorf("core: partial fold of chunk %d: %w", ords[i], errByOrd[i])
-			}
-			for p, pp := range push.plans {
-				pp.Merge(shard[p], stateByOrd[i][p])
-				e.ppMerges.Add(1)
-			}
-		}
-	}
-	e.spanTallies(ssp, tl)
-	if ssp != nil {
-		ssp.Set("rows", int(shard[0].Rows))
-	}
-	return shard, nil
-}
-
-// runShard executes the analyst's executable over every chunk of one
-// camera shard and returns the stamped rows in deterministic chunk
-// order. par bounds the shard's concurrent sandbox executions (the
-// per-camera bound of the sharded executor); the engine-wide procSem
-// still bounds the total across all shards and queries. Each shard
-// records one child span under the PROCESS span (concurrent shards
-// annotate sibling spans; Span is mutex-guarded).
-func (e *Engine) runShard(sh *splitShard, st *query.ProcessStmt, exec sandbox.Executor,
-	schema, full table.Schema, hasRegion, multi bool, par int, psp *obs.Span) *table.Table {
-	out := table.New(full)
-	camName := sh.cam.cfg.Name
-	camVal := table.S(camName)
-	tl := &shardTallies{}
-	ssp := psp.Child("shard")
-	defer ssp.End()
-	if ssp != nil {
-		ssp.Set("camera", camName)
-		chunks := 0
-		for _, split := range sh.splits {
-			chunks += len(split.ActiveChunks())
-		}
-		ssp.Set("chunks", chunks)
-	}
-	for _, split := range sh.splits {
-		ords := split.ActiveChunks()
-		// Each chunk produces one frozen columnar block in the declared
-		// PROCESS schema (the cacheable unit); blocks are stamped with
-		// the implicit columns and merged in chunk order afterwards.
-		blockByOrd := make([]*table.Table, len(ords))
-		var keyPrefix string
-		if e.chunkCache != nil {
-			keyPrefix = chunkKeyPrefix(
-				camName, sh.maskID, sh.schemeName,
-				split.Region, st.Using, st.Timeout, st.MaxRows, schema,
-				sh.chunkF, sh.strideF)
-		}
-		process := func(i int) {
-			chunk := split.ChunkAt(ords[i])
-			var key string
-			if e.chunkCache != nil {
-				key = keyPrefix + chunkKeySuffix(chunk.Interval)
-			}
-			blk, _ := e.fetchChunkBlock(key, chunk, exec, tl)
-			blockByOrd[i] = blk
-		}
-		if par > 1 && len(ords) > 1 {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, par)
-			for i := range ords {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					process(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range ords {
-				process(i)
-			}
-		}
-		// Stamp implicit columns as per-block constants and merge in
-		// chunk order: column-wise copies, no row materialization.
-		for i, blk := range blockByOrd {
-			consts := make([]table.Value, 0, 3)
-			consts = append(consts, table.N(float64(split.ChunkAt(ords[i]).Start.Unix())))
-			if hasRegion {
-				consts = append(consts, table.S(split.Region))
-			}
-			if multi {
-				consts = append(consts, camVal)
-			}
-			out.AppendBlock(blk, consts...)
-		}
-	}
-	e.spanTallies(ssp, tl)
-	if ssp != nil {
-		ssp.Set("rows", out.Len())
-	}
-	return out
 }

@@ -53,10 +53,21 @@ func TestLaplaceScale(t *testing.T) {
 	}
 }
 
+// admit runs Algorithm 1's admission the way the engine does: reserve
+// the charges, then finalize once they would be durable.
+func admit(l *Ledger, charges []Charge, rhoFrames int64) error {
+	id, err := l.Reserve(charges, rhoFrames)
+	if err != nil {
+		return err
+	}
+	l.Finalize(id)
+	return nil
+}
+
 func TestLedgerBasicAdmit(t *testing.T) {
 	l := NewLedger("camA", 1.0)
 	iv := vtime.NewInterval(1000, 2000)
-	if err := l.Admit([]Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
 	if got := l.Remaining(1500); got != 0.6 {
@@ -66,11 +77,11 @@ func TestLedgerBasicAdmit(t *testing.T) {
 	if got := l.Remaining(950); got != 1.0 {
 		t.Errorf("margin remaining=%v, want 1.0", got)
 	}
-	if err := l.Admit([]Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
 		t.Fatalf("second admit: %v", err)
 	}
 	// Third 0.4 exceeds 1.0.
-	err := l.Admit([]Charge{{Interval: iv, Eps: 0.4}}, 100)
+	err := admit(l, []Charge{{Interval: iv, Eps: 0.4}}, 100)
 	var ex *ErrBudgetExhausted
 	if !errors.As(err, &ex) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
@@ -88,16 +99,16 @@ func TestLedgerRhoMargin(t *testing.T) {
 	// Two queries on adjacent intervals: the rho margin must make the
 	// second query check frames of the first query's interval.
 	l := NewLedger("camA", 1.0)
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(0, 1000), Eps: 0.8}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(0, 1000), Eps: 0.8}}, 100); err != nil {
 		t.Fatal(err)
 	}
 	// [1000, 2000) is disjoint, but its expansion [900, 2100) overlaps
 	// the charged [0, 1000) where only 0.2 remains.
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(1000, 2000), Eps: 0.5}}, 100); err == nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(1000, 2000), Eps: 0.5}}, 100); err == nil {
 		t.Fatalf("margin check failed to deny")
 	}
 	// Far enough away (expansion clears the first interval) it passes.
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(1100, 2000), Eps: 0.5}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(1100, 2000), Eps: 0.5}}, 100); err != nil {
 		t.Fatalf("disjoint-with-margin admit: %v", err)
 	}
 }
@@ -107,7 +118,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 	// the admission check.
 	l := NewLedger("camA", 1.0)
 	iv := vtime.NewInterval(0, 1000)
-	err := l.Admit([]Charge{
+	err := admit(l, []Charge{
 		{Interval: iv, Eps: 0.6},
 		{Interval: iv, Eps: 0.6},
 	}, 10)
@@ -115,7 +126,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 		t.Fatalf("overlapping charges admitted beyond budget")
 	}
 	// Disjoint per-bucket charges of a standing query are fine.
-	err = l.Admit([]Charge{
+	err = admit(l, []Charge{
 		{Interval: vtime.NewInterval(0, 500), Eps: 0.6},
 		{Interval: vtime.NewInterval(1500, 2000), Eps: 0.6},
 	}, 10)
@@ -124,7 +135,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 	}
 	// But adjacent buckets within rho of each other interact: the
 	// margin overlap must deny a follow-up that would exceed budget.
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(500, 600), Eps: 0.6}}, 10); err == nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(500, 600), Eps: 0.6}}, 10); err == nil {
 		t.Fatalf("charge within margin of a 0.6-spent region admitted")
 	}
 }
@@ -132,7 +143,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 func TestLedgerManyQueriesMemory(t *testing.T) {
 	l := NewLedger("camA", 100)
 	for i := int64(0); i < 1000; i++ {
-		if err := l.Admit([]Charge{{Interval: vtime.NewInterval(i*100, i*100+100), Eps: 0.05}}, 10); err != nil {
+		if err := admit(l, []Charge{{Interval: vtime.NewInterval(i*100, i*100+100), Eps: 0.05}}, 10); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
@@ -196,5 +207,108 @@ func TestEffectiveEpsilon(t *testing.T) {
 			t.Errorf("eps not monotone in rho")
 		}
 		prev = e
+	}
+}
+
+// TestReserveFinalizeRelease: reservations block competing admissions
+// and Remaining like spent budget; Release restores the ledger exactly
+// and Finalize converts the reservation into spend.
+func TestReserveFinalizeRelease(t *testing.T) {
+	led := NewLedger("camA", 10)
+	ch := []Charge{{Interval: vtime.NewInterval(0, 100), Eps: 6}}
+	id, err := led.Reserve(ch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := led.Remaining(50); got != 4 {
+		t.Errorf("remaining with reservation = %v, want 4", got)
+	}
+	// A competing query demanding more than the unreserved budget is
+	// denied even though nothing is spent yet.
+	if _, err := led.Reserve([]Charge{{Interval: vtime.NewInterval(50, 60), Eps: 5}}, 0); err == nil {
+		t.Fatal("reservation did not block competing admission")
+	}
+	// Release restores the ledger exactly.
+	led.Release(id)
+	if got := led.Remaining(50); got != 10 {
+		t.Errorf("remaining after release = %v, want 10 exactly", got)
+	}
+	// Reserve + Finalize spends the charges.
+	id, err = led.Reserve(ch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Finalize(id)
+	if got := led.Remaining(50); got != 4 {
+		t.Errorf("remaining after finalize = %v, want 4", got)
+	}
+	// Finalize/Release of unknown handles are no-ops.
+	led.Finalize(999)
+	led.Release(id) // already finalized
+	if got := led.Remaining(50); got != 4 {
+		t.Errorf("unknown-handle ops changed the ledger: %v", got)
+	}
+}
+
+// TestReserveRhoMargin: the admission margin applies to reservations
+// exactly as to spent budget.
+func TestReserveRhoMargin(t *testing.T) {
+	led := NewLedger("camA", 1)
+	id, err := led.Reserve([]Charge{{Interval: vtime.NewInterval(0, 100), Eps: 1}}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Finalize(id)
+	// A disjoint-but-within-rho interval must be denied: the expanded
+	// intervals overlap.
+	if _, err := led.Reserve([]Charge{{Interval: vtime.NewInterval(105, 120), Eps: 1}}, 10); err == nil {
+		t.Fatal("rho margin ignored for reservations")
+	}
+	// Beyond the margin it fits.
+	if _, err := led.Reserve([]Charge{{Interval: vtime.NewInterval(121, 140), Eps: 1}}, 10); err != nil {
+		t.Fatalf("disjoint interval denied: %v", err)
+	}
+}
+
+// TestRestoreSpent reproduces a recovered ledger bit-for-bit: restoring
+// the segments of a spent function into a fresh ledger yields the same
+// Remaining everywhere.
+func TestRestoreSpent(t *testing.T) {
+	orig := NewLedger("camA", 10)
+	charges := [][]Charge{
+		{{Interval: vtime.NewInterval(0, 100), Eps: 0.3}},
+		{{Interval: vtime.NewInterval(50, 150), Eps: 0.7}},
+		{{Interval: vtime.NewInterval(120, 130), Eps: 1.1}},
+	}
+	for _, ch := range charges {
+		if err := admit(orig, ch, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Restore from the piecewise segments (what a snapshot persists).
+	restored := NewLedger("camA", 10)
+	type seg struct {
+		s, e int64
+		v    float64
+	}
+	var segs []seg
+	prev := 0.0
+	var start int64
+	for f := int64(0); f <= 150; f++ {
+		v := 10 - orig.Remaining(f)
+		if v != prev {
+			if prev != 0 {
+				segs = append(segs, seg{start, f, prev})
+			}
+			start, prev = f, v
+		}
+	}
+	for _, sg := range segs {
+		restored.RestoreSpent(sg.s, sg.e, sg.v)
+	}
+	for f := int64(0); f < 150; f += 7 {
+		if got, want := restored.Remaining(f), orig.Remaining(f); got != want {
+			t.Fatalf("frame %d: restored remaining %v != original %v", f, got, want)
+		}
 	}
 }

@@ -33,8 +33,8 @@ func TestReserveAllAtomicDenial(t *testing.T) {
 		t.Errorf("denying camera = %q, want camC", exhausted.Camera)
 	}
 	for _, l := range []*Ledger{a, b, c} {
-		if got := l.Remaining(50); got != l.Epsilon() {
-			t.Errorf("%v remaining = %v, want full %v (nothing held)", l.camera, got, l.Epsilon())
+		if got := l.Remaining(50); got != l.epsilon {
+			t.Errorf("%v remaining = %v, want full %v (nothing held)", l.camera, got, l.epsilon)
 		}
 	}
 	// The failed attempt must not block a later admissible one.

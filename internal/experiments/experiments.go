@@ -3,7 +3,7 @@
 // its workload, runs the full Privid pipeline (and the non-private
 // baseline it is compared against), and prints the same rows or series
 // the paper reports, plus a machine-readable metric map consumed by
-// the benchmark harness and EXPERIMENTS.md.
+// the root package's Benchmark* experiment benchmarks (bench_test.go).
 //
 // Absolute numbers will not match the paper — the substrate is a
 // simulator, not the authors' testbed — but the shapes must: who wins,

@@ -74,20 +74,6 @@ func (m *Map) AddRange(start, end int64, delta float64) {
 	m.coalesce()
 }
 
-// SetRange sets every key in [start, end) to v.
-func (m *Map) SetRange(start, end int64, v float64) {
-	if end <= start {
-		return
-	}
-	i := m.ensureBreak(start)
-	j := m.ensureBreak(end)
-	// Collapse the interior segments into one.
-	m.breaks = append(m.breaks[:i+1], m.breaks[j:]...)
-	m.vals = append(m.vals[:i+1], m.vals[j:]...)
-	m.vals[i] = v
-	m.coalesce()
-}
-
 // Max returns the maximum value over [start, end). Empty ranges report 0.
 func (m *Map) Max(start, end int64) float64 {
 	if end <= start {

@@ -52,25 +52,12 @@ func TestAddRangeOverlap(t *testing.T) {
 	}
 }
 
-func TestSetRange(t *testing.T) {
-	var m Map
-	m.AddRange(0, 100, 5)
-	m.SetRange(40, 60, 1)
-	if m.Get(39) != 5 || m.Get(40) != 1 || m.Get(59) != 1 || m.Get(60) != 5 {
-		t.Fatalf("SetRange wrong: %v", m.String())
-	}
-}
-
 func TestEmptyRangeNoOp(t *testing.T) {
 	var m Map
 	m.AddRange(10, 10, 5)
 	m.AddRange(20, 10, 5)
 	if m.Breakpoints() != 0 {
 		t.Fatalf("empty AddRange should be a no-op, got %v", m.String())
-	}
-	m.SetRange(10, 5, 2)
-	if m.Breakpoints() != 0 {
-		t.Fatalf("empty SetRange should be a no-op")
 	}
 }
 
@@ -142,16 +129,9 @@ func TestAgainstReference(t *testing.T) {
 			s, e = e, s
 		}
 		v := float64(rng.Intn(7)) - 3
-		if rng.Intn(4) == 0 {
-			m.SetRange(s, e, v)
-			for k := s; k < e; k++ {
-				ref[k] = v
-			}
-		} else {
-			m.AddRange(s, e, v)
-			for k := s; k < e; k++ {
-				ref[k] += v
-			}
+		m.AddRange(s, e, v)
+		for k := s; k < e; k++ {
+			ref[k] += v
 		}
 		// Spot-check point queries.
 		for probe := 0; probe < 10; probe++ {

@@ -44,7 +44,7 @@ func diffEnv(rng *rand.Rand) Env {
 		table.Column{Name: "plate", Type: table.DString, Default: table.S("")},
 		table.Column{Name: "color", Type: table.DString, Default: table.S("")},
 		table.Column{Name: "speed", Type: table.DNumber, Default: table.N(0)},
-	).WithImplicit(false)
+	).WithImplicitCols(false, false)
 	env := Env{}
 	for i, name := range []string{"tA", "tB"} {
 		meta := testMeta(name, fmt.Sprintf("cam%d", i))

@@ -30,7 +30,7 @@ func carSchema() table.Schema {
 		table.Column{Name: "color", Type: table.DString, Default: table.S("")},
 		table.Column{Name: "speed", Type: table.DNumber, Default: table.N(0)},
 	)
-	return s.WithImplicit(false)
+	return s.WithImplicitCols(false, false)
 }
 
 func carEnv(t *testing.T) Env {
@@ -397,7 +397,7 @@ func TestRegionColumnTrusted(t *testing.T) {
 	// region... via WITH KEYS (regions are public names).
 	schema := table.MustSchema(
 		table.Column{Name: "n", Type: table.DNumber, Default: table.N(0)},
-	).WithImplicit(true)
+	).WithImplicitCols(true, false)
 	m := testMeta("tableR", "camA")
 	m.Regions = 2
 	tbl := table.New(schema)

@@ -85,29 +85,22 @@ type Executor struct {
 	Timeout time.Duration
 	MaxRows int
 	Schema  table.Schema
-	// Done, if non-nil, is called exactly once per Run when the
+	// Done, if non-nil, is called exactly once per RunChecked when the
 	// executable goroutine actually exits. On a timeout that is later
-	// than Run's own return — which is what lets callers bound the
-	// true number of in-flight executions rather than the number of
-	// un-returned Run calls.
+	// than RunChecked's own return — which is what lets callers bound
+	// the true number of in-flight executions rather than the number of
+	// un-returned RunChecked calls.
 	Done func()
 }
 
-// Run processes one chunk and returns schema-conforming rows. On
+// RunChecked processes one chunk and returns schema-conforming rows. On
 // timeout, panic, or crash the executor returns the single default row
 // (Appendix D's TIMEOUT semantics). Output beyond MaxRows is dropped;
-// every row is coerced to the schema.
-func (e *Executor) Run(chunk *video.Chunk) []table.Row {
-	rows, _ := e.RunChecked(chunk)
-	return rows
-}
-
-// RunChecked is Run, additionally reporting whether the executable
-// completed cleanly. ok is false when the default row was substituted
-// for a timeout, panic, or crash — outcomes that depend on machine
-// load rather than on the chunk alone, which callers memoizing results
-// (the engine's chunk cache) must not treat as the chunk's true
-// output.
+// every row is coerced to the schema. ok is false when the default row
+// was substituted for a timeout, panic, or crash — outcomes that depend
+// on machine load rather than on the chunk alone, which callers
+// memoizing results (the engine's chunk cache) must not treat as the
+// chunk's true output.
 func (e *Executor) RunChecked(chunk *video.Chunk) (rows []table.Row, ok bool) {
 	type result struct {
 		rows []table.Row

@@ -63,7 +63,7 @@ func TestRunNormal(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
+	rows, _ := e.RunChecked(testChunk(t))
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -85,7 +85,7 @@ func TestRunTruncatesMaxRows(t *testing.T) {
 		MaxRows: 7,
 		Schema:  testSchema(),
 	}
-	if rows := e.Run(testChunk(t)); len(rows) != 7 {
+	if rows, _ := e.RunChecked(testChunk(t)); len(rows) != 7 {
 		t.Fatalf("over-production not truncated: %d rows", len(rows))
 	}
 }
@@ -103,7 +103,7 @@ func TestRunConformsSchema(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
+	rows, _ := e.RunChecked(testChunk(t))
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -126,7 +126,7 @@ func TestRunPanicYieldsDefault(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
+	rows, _ := e.RunChecked(testChunk(t))
 	if len(rows) != 1 {
 		t.Fatalf("%d rows, want 1 default row", len(rows))
 	}
@@ -145,7 +145,7 @@ func TestRunTimeoutYieldsDefault(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
+	rows, _ := e.RunChecked(testChunk(t))
 	if len(rows) != 1 || rows[0][0].Num() != -1 {
 		t.Fatalf("timeout did not yield default: %v", rows)
 	}
@@ -174,7 +174,7 @@ func TestRunStateSmugglingStillBounded(t *testing.T) {
 	}
 	c := testChunk(t)
 	for i := 0; i < 10; i++ {
-		rows := e.Run(c)
+		rows, _ := e.RunChecked(c)
 		// Whatever the smuggled state does, the per-chunk contribution
 		// stays bounded by MaxRows — which is what the sensitivity
 		// analysis relies on.

@@ -12,8 +12,9 @@ import (
 
 // The LedgerCommit benchmarks measure the cost of durability on the
 // admission hot path: 16 concurrent submitters (the scheduler's
-// worker-pool scale), each owning one camera's ledger with a commit
-// hook into a shared store, admitting one charge per iteration.
+// worker-pool scale), each owning one camera's ledger and admitting one
+// charge per iteration the way the engine does: reserve, commit the
+// charge to a shared store, finalize.
 //
 //	Null       — store.NullStore: the pre-durability in-memory cost.
 //	WAL        — WAL with one fsync per charge (naive durability).
@@ -33,25 +34,24 @@ func benchLedgerCommit(b *testing.B, mk func(b *testing.B) store.Store) {
 		go func(s int) {
 			defer wg.Done()
 			led := dp.NewLedger("cam", 1e18) // never exhausts
-			led.SetCommitHook(func(camera string, charges []dp.Charge) error {
-				recs := make([]store.Record, len(charges))
-				for i, c := range charges {
-					recs[i] = store.Record{Charge: &store.ChargeRecord{
-						Camera: camera,
-						Start:  c.Interval.Start,
-						End:    c.Interval.End,
-						Eps:    c.Eps,
-						Query:  "bench",
-					}}
-				}
-				return st.Commit(recs...)
-			})
-			charges := []dp.Charge{{Interval: vtime.NewInterval(0, 100), Eps: 1e-9}}
+			c := dp.Charge{Interval: vtime.NewInterval(0, 100), Eps: 1e-9}
 			for atomic.AddInt64(&iter, 1) <= int64(b.N) {
-				if err := led.Admit(charges, 0); err != nil {
+				id, err := led.Reserve([]dp.Charge{c}, 0)
+				if err != nil {
 					b.Error(err)
 					return
 				}
+				if err := st.Commit(store.Record{Charge: &store.ChargeRecord{
+					Camera: "cam",
+					Start:  c.Interval.Start,
+					End:    c.Interval.End,
+					Eps:    c.Eps,
+					Query:  "bench",
+				}}); err != nil {
+					b.Error(err)
+					return
+				}
+				led.Finalize(id)
 			}
 		}(s)
 	}

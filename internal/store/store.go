@@ -27,7 +27,6 @@ package store
 
 import (
 	"encoding/json"
-	"sort"
 	"time"
 
 	"privid/internal/intervalmap"
@@ -118,10 +117,9 @@ type Segment struct {
 // audit log, and retained terminal jobs. It is what a snapshot holds
 // and what recovery rebuilds from snapshot + WAL replay.
 type State struct {
-	spent   map[string]*intervalmap.Map
-	audit   []AuditRecord
-	jobs    []JobRecord
-	charges int64 // charge records applied since the last snapshot base
+	spent map[string]*intervalmap.Map
+	audit []AuditRecord
+	jobs  []JobRecord
 }
 
 // NewState returns an empty state.
@@ -142,7 +140,6 @@ func (s *State) apply(rec Record, maxJobs, maxAudit int) {
 			s.spent[c.Camera] = m
 		}
 		m.AddRange(c.Start, c.End, c.Eps)
-		s.charges++
 	case rec.Audit != nil:
 		s.audit = append(s.audit, *rec.Audit)
 		if maxAudit > 0 && len(s.audit) > maxAudit {
@@ -154,16 +151,6 @@ func (s *State) apply(rec Record, maxJobs, maxAudit int) {
 			s.jobs = append(s.jobs[:0], s.jobs[len(s.jobs)-maxJobs:]...)
 		}
 	}
-}
-
-// Cameras lists the cameras with recovered spent budget, sorted.
-func (s *State) Cameras() []string {
-	out := make([]string, 0, len(s.spent))
-	for name := range s.spent {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SpentSegments returns the camera's spent-budget function as
@@ -192,10 +179,6 @@ func (s *State) Audit() []AuditRecord { return append([]AuditRecord(nil), s.audi
 
 // Jobs returns the retained terminal jobs in commit order.
 func (s *State) Jobs() []JobRecord { return append([]JobRecord(nil), s.jobs...) }
-
-// Charges returns the number of charge records folded into the state
-// since its snapshot base.
-func (s *State) Charges() int64 { return s.charges }
 
 // segmentsOf exports a map's non-zero maximal segments. Spent-budget
 // maps are zero outside the union of charged intervals, so the

@@ -197,7 +197,6 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 				}}, maxJobs, maxAudit)
 			}
 		}
-		state.charges = 0 // snapshot segments are the base, not new records
 		state.audit = append(state.audit, sf.Audit...)
 		state.jobs = append(state.jobs, sf.Jobs...)
 	} else if !os.IsNotExist(err) {
@@ -417,23 +416,13 @@ func (w *WAL) appendLocked(buf []byte, recs []Record) error {
 	return nil
 }
 
-// Snapshot writes the aggregate state to snapshot.json and rolls the
-// WAL to a fresh generation (compaction): per-camera spent budget
+// snapshotLocked writes the aggregate state to snapshot.json and rolls
+// the WAL to a fresh generation (compaction): per-camera spent budget
 // collapses to its piecewise segments no matter how many charges
-// produced it.
-func (w *WAL) Snapshot() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.fileOpen {
-		return ErrClosed
-	}
-	return w.snapshotLocked()
-}
-
-// snapshotLocked implements Snapshot. Caller holds w.mu. Ordering, for
-// crash safety: (1) create the next generation's empty WAL, (2) fsync
-// the snapshot naming that generation into place, (3) switch handles
-// and delete the old generation. A crash after (1) recovers from the
+// produced it. Caller holds w.mu. Ordering, for crash safety: (1)
+// create the next generation's empty WAL, (2) fsync the snapshot naming
+// that generation into place, (3) switch handles and delete the old
+// generation. A crash after (1) recovers from the
 // old snapshot + old WAL (the stray file is removed on open); a crash
 // after (2) recovers from the new snapshot + empty new WAL.
 func (w *WAL) snapshotLocked() error {
@@ -492,7 +481,6 @@ func (w *WAL) snapshotLocked() error {
 	w.f = f
 	w.gen = newGen
 	w.size = int64(len(walMagic))
-	w.state.charges = 0
 	w.recsSinceSnap = 0
 	w.poisoned = nil
 	os.Remove(oldPath)
@@ -577,13 +565,6 @@ func (w *WAL) SpentSegments(camera string) []Segment {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.state.SpentSegments(camera)
-}
-
-// Cameras lists cameras with recorded charges.
-func (w *WAL) Cameras() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.state.Cameras()
 }
 
 // AuditEntries returns the recovered-and-since-committed audit log.

@@ -257,7 +257,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Cameras()); got != goroutines {
+	if got := len(st.spent); got != goroutines {
 		t.Fatalf("%d cameras recovered, want %d", got, goroutines)
 	}
 	if st.Spent("cam00", 5) == 0 {

@@ -279,12 +279,6 @@ func (s Schema) DefaultRow() Row {
 	return r
 }
 
-// WithImplicit returns a copy of the schema with the implicit chunk
-// column and, if region is true, the implicit region column appended.
-func (s Schema) WithImplicit(region bool) Schema {
-	return s.WithImplicitCols(region, false)
-}
-
 // WithImplicitCols returns a copy of the schema with the implicit
 // trusted columns appended: chunk always, region when the split used
 // BY REGION, and camera when the chunk set spans multiple cameras

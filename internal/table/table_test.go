@@ -93,11 +93,11 @@ func TestDefaultRow(t *testing.T) {
 
 func TestWithImplicit(t *testing.T) {
 	s := MustSchema(Column{Name: "n", Type: DNumber})
-	si := s.WithImplicit(false)
+	si := s.WithImplicitCols(false, false)
 	if !si.Has(ChunkColumn) || si.Has(RegionColumn) {
 		t.Errorf("implicit columns: %v", si.Names())
 	}
-	sir := s.WithImplicit(true)
+	sir := s.WithImplicitCols(true, false)
 	if !sir.Has(RegionColumn) {
 		t.Errorf("region column missing")
 	}
